@@ -15,10 +15,10 @@
 #include "core/variants.hpp"
 #include "data/scaler.hpp"
 #include "data/synthetic.hpp"
+#include "dp/data_parallel.hpp"
 #include "eval/training_eval.hpp"
 #include "exec/live_executor.hpp"
 #include "nas/search_space.hpp"
-#include "nn/trainer.hpp"
 
 int main() {
   using namespace agebo;
@@ -44,15 +44,13 @@ int main() {
   const auto genome = space.random(rng);
   const auto gspec =
       space.to_graph_spec(genome, dataset.n_features, dataset.n_classes);
-  Rng net_rng(1);
-  nn::GraphNet net(gspec, net_rng);
-  std::printf("random architecture:\n%s\n", net.describe().c_str());
-
-  nn::TrainConfig tc;
+  dp::DataParallelConfig tc;  // n_procs = 1: single-process training
   tc.epochs = 10;
-  tc.batch_size = 128;
-  tc.lr = 0.005;
-  const auto train_result = nn::train(net, splits.train, splits.valid, tc);
+  tc.bs1 = 128;
+  tc.lr1 = 0.005;
+  dp::DataParallelTrainer trainer(gspec, tc);
+  const auto train_result = trainer.fit(splits.train, splits.valid);
+  std::printf("random architecture:\n%s\n", trainer.model().describe().c_str());
   std::printf("direct training: best valid acc %.4f\n\n",
               train_result.best_valid_accuracy);
 

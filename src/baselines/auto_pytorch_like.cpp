@@ -3,9 +3,22 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "nn/trainer.hpp"
-
 namespace agebo::baselines {
+
+namespace {
+
+/// One SHA training run: n_procs = 1, i.e. plain single-process training.
+dp::DataParallelConfig sha_train_config(double lr, std::size_t batch_size,
+                                        std::size_t epochs, std::uint64_t seed) {
+  dp::DataParallelConfig dc;
+  dc.lr1 = lr;
+  dc.bs1 = batch_size;
+  dc.epochs = epochs;
+  dc.seed = seed;
+  return dc;
+}
+
+}  // namespace
 
 nas::Genome sample_restricted_genome(const nas::SearchSpace& space, Rng& rng,
                                      int max_op) {
@@ -68,6 +81,8 @@ double surrogate_reference(const nas::SearchSpace& space,
 SuccessiveHalvingMlp::SuccessiveHalvingMlp(ShaConfig cfg) : cfg_(cfg) {
   if (cfg_.eta < 2) throw std::invalid_argument("ShaConfig: eta < 2");
   if (cfg_.rungs == 0) throw std::invalid_argument("ShaConfig: zero rungs");
+  if (cfg_.n_configs == 0) throw std::invalid_argument("ShaConfig: zero n_configs");
+  if (cfg_.min_epochs == 0) throw std::invalid_argument("ShaConfig: zero min_epochs");
 }
 
 nn::GraphSpec SuccessiveHalvingMlp::make_spec(const Candidate& c,
@@ -108,16 +123,11 @@ ShaReport SuccessiveHalvingMlp::fit(const data::Dataset& train,
 
   for (std::size_t rung = 0; rung < cfg_.rungs && !candidates.empty(); ++rung) {
     for (auto& c : candidates) {
-      const auto spec = make_spec(c, train.n_features, train.n_classes);
-      Rng net_rng(cfg_.seed + rung * 1000 + 17);
-      nn::GraphNet net(spec, net_rng);
-      nn::TrainConfig tc;
-      tc.epochs = epochs;
-      tc.batch_size = cfg_.batch_size;
-      tc.lr = c.lr;
-      tc.seed = cfg_.seed + rung;
-      const auto result = nn::train(net, train, valid, tc);
-      c.score = result.best_valid_accuracy;
+      dp::DataParallelTrainer trainer(
+          make_spec(c, train.n_features, train.n_classes),
+          sha_train_config(c.lr, cfg_.batch_size, epochs,
+                           cfg_.seed + rung * 1000 + 17));
+      c.score = trainer.fit(train, valid).best_valid_accuracy;
       ++report.total_trainings;
       report.total_epochs += epochs;
       if (c.score > best_score) {
@@ -136,22 +146,19 @@ ShaReport SuccessiveHalvingMlp::fit(const data::Dataset& train,
   }
 
   // Retrain the winner at the final fidelity and keep the model.
-  const auto spec = make_spec(best_candidate, train.n_features, train.n_classes);
-  Rng net_rng(cfg_.seed + 777);
-  best_ = std::make_unique<nn::GraphNet>(spec, net_rng);
-  nn::TrainConfig tc;
-  tc.epochs = epochs / cfg_.eta;  // the last rung's fidelity
-  tc.batch_size = cfg_.batch_size;
-  tc.lr = best_candidate.lr;
-  tc.seed = cfg_.seed + 99;
-  const auto result = nn::train(*best_, train, valid, tc);
+  best_ = std::make_unique<dp::DataParallelTrainer>(
+      make_spec(best_candidate, train.n_features, train.n_classes),
+      sha_train_config(best_candidate.lr, cfg_.batch_size,
+                       epochs / cfg_.eta,  // the last rung's fidelity
+                       cfg_.seed + 777));
+  const auto result = best_->fit(train, valid);
   report.best_valid_accuracy = std::max(best_score, result.best_valid_accuracy);
   return report;
 }
 
 nn::GraphNet& SuccessiveHalvingMlp::best_model() {
   if (!best_) throw std::logic_error("SuccessiveHalvingMlp: fit first");
-  return *best_;
+  return best_->model();
 }
 
 }  // namespace agebo::baselines

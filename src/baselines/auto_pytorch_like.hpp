@@ -14,9 +14,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "data/dataset.hpp"
+#include "dp/data_parallel.hpp"
 #include "eval/surrogate.hpp"
 #include "nas/search_space.hpp"
 #include "nn/graph_net.hpp"
@@ -51,7 +53,8 @@ struct ShaReport {
 };
 
 /// Successive-halving HPO over funnel-shaped MLPs (depth 1-4, widths
-/// shrinking by half per layer, tuned lr) trained with real gradients.
+/// shrinking by half per layer, tuned lr) trained with real gradients by
+/// dp::DataParallelTrainer at n = 1.
 class SuccessiveHalvingMlp {
  public:
   explicit SuccessiveHalvingMlp(ShaConfig cfg = {});
@@ -72,7 +75,8 @@ class SuccessiveHalvingMlp {
                           std::size_t n_classes) const;
 
   ShaConfig cfg_;
-  std::unique_ptr<nn::GraphNet> best_;
+  /// The winner's retrain (valid after fit()); best_model() is its model().
+  std::unique_ptr<dp::DataParallelTrainer> best_;
 };
 
 }  // namespace agebo::baselines

@@ -16,14 +16,10 @@ constexpr const char* kHeader =
 // histories exported by earlier releases keep warm-starting searches.
 constexpr const char* kFaultV2Header =
     "index,finish_time,objective,train_seconds,failed,attempts,bs1,lr1,n,genome";
-// Pre-fault-layer header (additionally no failed/attempts columns).
-constexpr const char* kLegacyHeader =
-    "index,finish_time,objective,train_seconds,bs1,lr1,n,genome";
 
 // Cells per data row of each generation (genomes contain no commas).
 constexpr std::size_t kCurrentCells = 12;
 constexpr std::size_t kFaultV2Cells = 10;
-constexpr std::size_t kLegacyCells = 8;
 
 std::string genome_field(const nas::Genome& g) {
   std::ostringstream os;
@@ -133,8 +129,6 @@ HistoryFormat history_row_format(const std::string& line,
       return HistoryFormat::kCurrent;
     case kFaultV2Cells:
       return HistoryFormat::kFaultV2;
-    case kLegacyCells:
-      return HistoryFormat::kLegacy;
     default:
       throw std::runtime_error("load_history: " + what + ": row has " +
                                std::to_string(cells) +
@@ -161,10 +155,8 @@ EvalRecord parse_history_row(const std::string& line,
   rec.objective = parse_double(next("objective"), what, "objective");
   rec.train_seconds =
       parse_double(next("train_seconds"), what, "train_seconds");
-  if (format != HistoryFormat::kLegacy) {
-    rec.failed = parse_size(next("failed"), what, "failed") != 0;
-    rec.attempts = parse_size(next("attempts"), what, "attempts");
-  }
+  rec.failed = parse_size(next("failed"), what, "failed") != 0;
+  rec.attempts = parse_size(next("attempts"), what, "attempts");
   if (format == HistoryFormat::kCurrent) {
     rec.degraded = parse_size(next("degraded"), what, "degraded") != 0;
     rec.final_world = parse_size(next("final_world"), what, "final_world");
@@ -197,14 +189,11 @@ EvalRecord parse_history_row(const std::string& line,
 std::vector<EvalRecord> load_history(std::istream& is,
                                      const nas::SearchSpace& space) {
   std::string line;
-  if (!std::getline(is, line) ||
-      (line != kHeader && line != kFaultV2Header && line != kLegacyHeader)) {
+  if (!std::getline(is, line) || (line != kHeader && line != kFaultV2Header)) {
     throw std::runtime_error("load_history: bad header");
   }
-  const HistoryFormat format = line == kHeader ? HistoryFormat::kCurrent
-                               : line == kFaultV2Header
-                                   ? HistoryFormat::kFaultV2
-                                   : HistoryFormat::kLegacy;
+  const HistoryFormat format =
+      line == kHeader ? HistoryFormat::kCurrent : HistoryFormat::kFaultV2;
   std::vector<EvalRecord> out;
   std::size_t line_no = 1;
   while (std::getline(is, line)) {

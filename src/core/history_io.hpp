@@ -7,10 +7,9 @@
 // CSV columns: index, finish_time, objective, train_seconds, failed,
 //              attempts, degraded, final_world, bs1, lr1, n,
 //              genome ('-'-separated decisions).
-// Two older column sets still load: the fault-era format without the
+// One older column set still loads: the fault-era format without the
 // elastic degraded/final_world columns (degraded=0, final_world=0
-// assumed), and the pre-fault-layer format additionally without
-// failed/attempts (failed=0, attempts=1 assumed).
+// assumed), which the committed campaign checkpoints still carry.
 //
 // Loading is strict: a malformed or truncated row (short row, trailing
 // cells, non-numeric field, bad genome token) raises std::runtime_error
@@ -33,11 +32,10 @@ void save_history_file(const SearchResult& result, const std::string& path);
 /// One CSV row (no trailing newline) in the current header's column order.
 void write_history_row(const EvalRecord& rec, std::ostream& os);
 
-/// The three column generations a history row can carry.
+/// The two column generations a history row can carry.
 enum class HistoryFormat {
   kCurrent,  ///< failed/attempts + elastic degraded/final_world columns
   kFaultV2,  ///< failed/attempts, no elastic columns (pre-elastic releases)
-  kLegacy,   ///< neither (pre-fault-layer releases)
 };
 
 /// Column generation of a data row, detected from its comma count (the

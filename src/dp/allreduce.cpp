@@ -58,9 +58,7 @@ void reduce_all(std::vector<std::vector<float>*>& buffers,
   }
 }
 
-}  // namespace
-
-void allreduce_validate(const std::vector<std::vector<float>*>& buffers) {
+void validate(const std::vector<std::vector<float>*>& buffers) {
   if (buffers.empty()) throw std::invalid_argument("allreduce: no buffers");
   if (buffers.size() > kernels::kMaxSources) {
     throw std::invalid_argument("allreduce: too many buffers");
@@ -73,14 +71,11 @@ void allreduce_validate(const std::vector<std::vector<float>*>& buffers) {
   }
 }
 
+}  // namespace
+
 void allreduce_average(std::vector<std::vector<float>*>& buffers,
                        AllreduceStrategy strategy) {
-  allreduce_validate(buffers);
-  reduce_all(buffers, strategy);
-}
-
-void allreduce_average_unchecked(std::vector<std::vector<float>*>& buffers,
-                                 AllreduceStrategy strategy) {
+  validate(buffers);
   reduce_all(buffers, strategy);
 }
 

@@ -32,20 +32,13 @@ namespace agebo::dp {
 
 enum class AllreduceStrategy { kFlat, kTree, kRing };
 
-/// Throw std::invalid_argument unless all buffers are non-null and equally
-/// sized. Call once per fit (or per buffer-set change); the per-step loops
-/// use allreduce_average_unchecked and skip re-validation.
-void allreduce_validate(const std::vector<std::vector<float>*>& buffers);
-
-/// Average `buffers` element-wise; all buffers receive the result.
-/// All buffers must be non-null and equally sized (validated on entry;
-/// hot loops that validated up front should call the _unchecked form).
+/// Average `buffers` element-wise on the calling thread; all buffers
+/// receive the result. Throws std::invalid_argument unless all buffers are
+/// non-null and equally sized. The trainer does not call this: it reduces
+/// through GradientComm (gradient_comm.hpp), which reproduces these
+/// summation orders rank-parallel. This is the serial reference the dp and
+/// property tests compare it against.
 void allreduce_average(std::vector<std::vector<float>*>& buffers,
                        AllreduceStrategy strategy = AllreduceStrategy::kFlat);
-
-/// Same, without re-validating the buffer set. Caller must have run
-/// allreduce_validate on these buffers (the trainer does it once per fit).
-void allreduce_average_unchecked(std::vector<std::vector<float>*>& buffers,
-                                 AllreduceStrategy strategy);
 
 }  // namespace agebo::dp

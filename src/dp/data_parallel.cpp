@@ -8,6 +8,7 @@
 
 #include "dp/gradient_comm.hpp"
 #include "dp/thread_team.hpp"
+#include "nn/adam.hpp"
 #include "nn/kernels/pool.hpp"
 #include "nn/loss.hpp"
 #include "nn/schedule.hpp"

@@ -8,6 +8,12 @@
 // The linear scaling rule (Eq. 2) is applied here: effective learning rate
 // n·lr1, effective global batch n·bs1 (each replica consumes a local batch
 // of bs1). Gradual warmup ramps from lr1 to n·lr1 across the first 5 epochs.
+//
+// This is the repo's only training loop. n = 1 is plain single-process
+// training (one replica, no allreduce; the kernel pool still fans out), so
+// every fit — search evaluations, the CLI, baselines, examples and tests —
+// runs through DataParallelTrainer and the paper's recipe (Sec IV): Adam,
+// warmup, and reduce-LR-on-plateau on validation accuracy.
 #pragma once
 
 #include <cstdint>

@@ -18,21 +18,6 @@ Adam::Adam(std::vector<ParamRef> params, AdamConfig cfg)
   }
 }
 
-double clip_gradients(const std::vector<ParamRef>& params, double max_norm) {
-  double sq = 0.0;
-  for (const auto& p : params) {
-    for (float g : *p.grads) sq += static_cast<double>(g) * g;
-  }
-  const double norm = std::sqrt(sq);
-  if (max_norm > 0.0 && norm > max_norm) {
-    const auto scale = static_cast<float>(max_norm / norm);
-    for (const auto& p : params) {
-      for (float& g : *p.grads) g *= scale;
-    }
-  }
-  return norm;
-}
-
 void Adam::step() {
   ++t_;
   const double b1t = 1.0 - std::pow(cfg_.beta1, t_);
@@ -50,10 +35,7 @@ void Adam::step() {
       v[i] = beta2 * v[i] + (1.0f - beta2) * g * g;
       const double mhat = m[i] / b1t;
       const double vhat = v[i] / b2t;
-      double update = cfg_.lr * mhat / (std::sqrt(vhat) + cfg_.eps);
-      if (cfg_.weight_decay > 0.0) {
-        update += cfg_.lr * cfg_.weight_decay * values[i];  // AdamW
-      }
+      const double update = cfg_.lr * mhat / (std::sqrt(vhat) + cfg_.eps);
       values[i] -= static_cast<float>(update);
     }
   }

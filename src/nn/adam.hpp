@@ -14,14 +14,7 @@ struct AdamConfig {
   double beta1 = 0.9;
   double beta2 = 0.999;
   double eps = 1e-8;
-  /// Decoupled weight decay (AdamW); 0 disables.
-  double weight_decay = 0.0;
 };
-
-/// Scale all gradients so their global L2 norm is at most `max_norm`;
-/// returns the pre-clip norm. No-op (returns the norm) when already within
-/// bounds or max_norm <= 0.
-double clip_gradients(const std::vector<ParamRef>& params, double max_norm);
 
 class Adam {
  public:

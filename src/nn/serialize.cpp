@@ -1,32 +1,17 @@
 #include "nn/serialize.hpp"
 
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/checksum.hpp"
 
 namespace agebo::nn {
 
 namespace {
 
 constexpr const char* kMagic = "agebo-graphnet";
-
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string checksum_hex(const std::string& bytes) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fnv1a64(bytes)));
-  return buf;
-}
 
 Activation activation_from_token(const std::string& token) {
   for (int i = 0; i < kNumActivations; ++i) {
@@ -44,23 +29,20 @@ void expect_token(std::istream& is, const std::string& want) {
   }
 }
 
-/// Everything after the version token: meta (v2+), spec, parameters,
-/// quant (v3).
-ModelArtifact parse_body(std::istream& is, int version) {
+/// Everything after the version token: meta, spec, parameters, quant (v3).
+ModelArtifact parse_body(std::istream& is, bool with_quant) {
   ModelArtifact artifact;
-  if (version >= 2) {
-    expect_token(is, "meta");
-    std::size_t n_meta = 0;
-    is >> n_meta;
-    for (std::size_t i = 0; i < n_meta; ++i) {
-      expect_token(is, "kv");
-      std::string key;
-      std::string value;
-      is >> key;
-      is.ignore(1);  // the separating space
-      std::getline(is, value);
-      artifact.metadata.emplace_back(key, value);
-    }
+  expect_token(is, "meta");
+  std::size_t n_meta = 0;
+  is >> n_meta;
+  for (std::size_t i = 0; i < n_meta; ++i) {
+    expect_token(is, "kv");
+    std::string key;
+    std::string value;
+    is >> key;
+    is.ignore(1);  // the separating space
+    std::getline(is, value);
+    artifact.metadata.emplace_back(key, value);
   }
 
   GraphSpec& spec = artifact.spec;
@@ -114,7 +96,7 @@ ModelArtifact parse_body(std::istream& is, int version) {
   }
   if (!is) throw std::runtime_error("load_artifact: truncated parameters");
 
-  if (version >= 3) {
+  if (with_quant) {
     expect_token(is, "quant");
     std::size_t n_qlayers = 0;
     is >> n_qlayers;
@@ -234,8 +216,7 @@ void save_artifact(const ModelArtifact& artifact, std::ostream& os) {
     }
   }
 
-  const std::string payload = body.str();
-  os << payload << "checksum " << checksum_hex(payload) << '\n';
+  os << with_checksum(body.str());
 }
 
 void save_artifact_file(const ModelArtifact& artifact, const std::string& path) {
@@ -255,33 +236,14 @@ ModelArtifact load_artifact(std::istream& is) {
   if (!(head >> magic >> version) || magic != kMagic) {
     throw std::runtime_error("load_artifact: bad header");
   }
-  if (version == "v1") {
-    return parse_body(head, /*version=*/1);
-  }
   if (version != "v2" && version != "v3") {
     throw std::runtime_error("load_artifact: unsupported version '" + version +
-                             "' (expected v1, v2, or v3)");
+                             "' (expected v2 or v3)");
   }
 
-  // v2/v3: the final line is `checksum <hex>` over every byte before it.
-  const auto pos = text.rfind("\nchecksum ");
-  if (pos == std::string::npos) {
-    throw std::runtime_error(
-        "load_artifact: missing checksum line (truncated artifact?)");
-  }
-  const std::string payload = text.substr(0, pos + 1);
-  std::istringstream tail(text.substr(pos + 1));
-  expect_token(tail, "checksum");
-  std::string recorded;
-  tail >> recorded;
-  if (recorded != checksum_hex(payload)) {
-    throw std::runtime_error(
-        "load_artifact: checksum mismatch — artifact corrupted or truncated");
-  }
-
-  std::istringstream body(payload);
+  std::istringstream body(verify_checksum(text, "load_artifact"));
   body >> magic >> version;
-  return parse_body(body, version == "v3" ? 3 : 2);
+  return parse_body(body, /*with_quant=*/version == "v3");
 }
 
 ModelArtifact load_artifact_file(const std::string& path) {

@@ -24,8 +24,8 @@
 // covers every byte before its own line: a truncated or corrupted artifact
 // fails load with a clear error instead of silently mis-predicting.
 // Artifacts without a quant section are written as v2 (so fp32-only models
-// stay loadable by older readers); the v1 format (no meta section, no
-// checksum) and v2 are still loadable.
+// stay loadable by older readers). The checksum framing is shared with the
+// campaign checkpoints (common/checksum.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -73,7 +73,7 @@ std::unique_ptr<GraphNet> instantiate_graphnet(const ModelArtifact& artifact);
 void save_artifact(const ModelArtifact& artifact, std::ostream& os);
 void save_artifact_file(const ModelArtifact& artifact, const std::string& path);
 
-/// Parses v1, v2, or v3; verifies the v2/v3 checksum. Throws
+/// Parses v2 or v3 and verifies the checksum. Throws
 /// std::runtime_error with a precise message on malformed, truncated, or
 /// corrupted input.
 ModelArtifact load_artifact(std::istream& is);

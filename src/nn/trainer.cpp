@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "nn/loss.hpp"
-#include "obs/span.hpp"
 
 namespace agebo::nn {
 
@@ -44,67 +43,6 @@ double evaluate_accuracy(GraphNet& net, const data::Dataset& ds,
         accuracy(logits, y) * static_cast<double>(end - begin) + 0.5);
   }
   return static_cast<double>(correct_weighted) / static_cast<double>(ds.n_rows);
-}
-
-TrainResult train(GraphNet& net, const data::Dataset& train_set,
-                  const data::Dataset& valid_set, const TrainConfig& cfg) {
-  if (cfg.batch_size == 0) throw std::invalid_argument("train: zero batch size");
-  if (cfg.warmup_div < 1.0) throw std::invalid_argument("train: warmup_div < 1");
-
-  Rng rng(cfg.seed);
-  auto params = net.params();
-  Adam opt(params, AdamConfig{cfg.lr, 0.9, 0.999, 1e-8, cfg.weight_decay});
-  GradualWarmup warmup(cfg.lr / cfg.warmup_div, cfg.lr, cfg.warmup_epochs);
-  ReduceLROnPlateau plateau(cfg.plateau_patience, cfg.plateau_factor);
-
-  std::vector<std::size_t> order(train_set.n_rows);
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  TrainResult result;
-  double post_warmup_lr = cfg.lr;
-  Tensor x;
-  std::vector<int> y;
-  Tensor dlogits;
-
-  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    OBS_SPAN("nn.epoch", {{"epoch", std::to_string(epoch)}});
-    // Warmup drives the LR during the ramp; plateau owns it afterwards.
-    double lr = (epoch < cfg.warmup_epochs && cfg.warmup_div > 1.0)
-                    ? warmup.lr_for_epoch(epoch)
-                    : post_warmup_lr;
-    opt.set_learning_rate(lr);
-
-    rng.shuffle(order);
-    double loss_sum = 0.0;
-    std::size_t batches = 0;
-    for (std::size_t begin = 0; begin < train_set.n_rows; begin += cfg.batch_size) {
-      const std::size_t end = std::min(begin + cfg.batch_size, train_set.n_rows);
-      batch_from(train_set, order, begin, end, x, y);
-      const Tensor& logits = net.forward(x);
-      net.zero_grad();
-      loss_sum += softmax_cross_entropy(logits, y, dlogits);
-      net.backward(dlogits);
-      if (cfg.grad_clip_norm > 0.0) clip_gradients(params, cfg.grad_clip_norm);
-      opt.step();
-      ++batches;
-    }
-
-    const double valid_acc = evaluate_accuracy(net, valid_set);
-    if (epoch >= cfg.warmup_epochs || cfg.warmup_div <= 1.0) {
-      post_warmup_lr = plateau.update(valid_acc, lr);
-    }
-
-    EpochStats stats;
-    stats.train_loss = batches > 0 ? loss_sum / static_cast<double>(batches) : 0.0;
-    stats.valid_accuracy = valid_acc;
-    stats.learning_rate = lr;
-    result.epochs.push_back(stats);
-    result.best_valid_accuracy = std::max(result.best_valid_accuracy, valid_acc);
-  }
-  if (!result.epochs.empty()) {
-    result.final_valid_accuracy = result.epochs.back().valid_accuracy;
-  }
-  return result;
 }
 
 }  // namespace agebo::nn

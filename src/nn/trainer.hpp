@@ -1,48 +1,22 @@
-// Single-process minibatch trainer implementing the paper's recipe
-// (Sec IV): Adam, 20 epochs, gradual warmup for the first 5 epochs, and a
-// reduce-LR-on-plateau callback with patience 5 monitoring validation
-// accuracy. The data-parallel variant lives in src/dp and reuses the same
-// batching and schedule logic.
+// Batch helpers and per-epoch statistics shared by every training path.
+// There is one training loop, dp::DataParallelTrainer (src/dp): it runs the
+// paper's recipe (Sec IV) for any process count n, and n = 1 is the
+// single-process case. These helpers are what it, the tools and the
+// benches use to slice minibatches and score a network on a dataset.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "nn/adam.hpp"
 #include "nn/graph_net.hpp"
-#include "nn/schedule.hpp"
 #include "nn/tensor.hpp"
 
 namespace agebo::nn {
-
-struct TrainConfig {
-  std::size_t epochs = 20;
-  std::size_t batch_size = 256;
-  double lr = 0.01;
-  /// Warmup ramps from `lr / warmup_div` to `lr`; warmup_div = 1 disables
-  /// the ramp. The dp trainer sets warmup_div = n (ramp from lr1 to n*lr1).
-  double warmup_div = 1.0;
-  std::size_t warmup_epochs = 5;
-  std::size_t plateau_patience = 5;
-  double plateau_factor = 0.5;
-  /// Decoupled weight decay (AdamW); 0 disables.
-  double weight_decay = 0.0;
-  /// Global gradient-norm clip; 0 disables.
-  double grad_clip_norm = 0.0;
-  std::uint64_t seed = 7;
-};
 
 struct EpochStats {
   double train_loss = 0.0;
   double valid_accuracy = 0.0;
   double learning_rate = 0.0;
-};
-
-struct TrainResult {
-  std::vector<EpochStats> epochs;
-  double best_valid_accuracy = 0.0;
-  double final_valid_accuracy = 0.0;
 };
 
 /// Copy dataset rows [begin, end) into a Tensor + label vector.
@@ -53,9 +27,5 @@ void batch_from(const data::Dataset& ds, const std::vector<std::size_t>& order,
 /// Accuracy of `net` over an entire dataset, evaluated in batches.
 double evaluate_accuracy(GraphNet& net, const data::Dataset& ds,
                          std::size_t batch_size = 4096);
-
-/// Train `net` and return per-epoch statistics.
-TrainResult train(GraphNet& net, const data::Dataset& train_set,
-                  const data::Dataset& valid_set, const TrainConfig& cfg);
 
 }  // namespace agebo::nn

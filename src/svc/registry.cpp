@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/checksum.hpp"
 #include "core/state_io.hpp"
 #include "exec/live_executor.hpp"
 #include "exec/sim_executor.hpp"

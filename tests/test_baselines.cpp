@@ -130,6 +130,12 @@ TEST(SuccessiveHalving, RejectsBadConfig) {
   cfg = ShaConfig{};
   cfg.rungs = 0;
   EXPECT_THROW(SuccessiveHalvingMlp{cfg}, std::invalid_argument);
+  cfg = ShaConfig{};
+  cfg.n_configs = 0;
+  EXPECT_THROW(SuccessiveHalvingMlp{cfg}, std::invalid_argument);
+  cfg = ShaConfig{};
+  cfg.min_epochs = 0;
+  EXPECT_THROW(SuccessiveHalvingMlp{cfg}, std::invalid_argument);
 }
 
 TEST(SuccessiveHalving, BestModelBeforeFitThrows) {

@@ -217,6 +217,9 @@ TEST(DataParallel, SingleProcMatchesAccuracyBand) {
   const auto result = trainer.fit(splits.train, splits.valid);
   EXPECT_GT(result.best_valid_accuracy, 0.80);
   EXPECT_DOUBLE_EQ(result.epochs.front().learning_rate, 0.005);
+  // Loss should drop substantially from first to last epoch.
+  EXPECT_LT(result.epochs.back().train_loss,
+            result.epochs.front().train_loss * 0.8);
 }
 
 TEST(DataParallel, WarmupRampsTowardScaledLr) {

@@ -1,6 +1,6 @@
-// Tests for the third extension wave: classification metrics, AdamW weight
-// decay + gradient clipping, multi-fidelity surrogate evaluation, the
-// BOHB-style successive-halving searcher, and the simulator trace export.
+// Tests for the third extension wave: classification metrics, multi-fidelity
+// surrogate evaluation, the BOHB-style successive-halving searcher, and the
+// simulator trace export.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include "eval/surrogate.hpp"
 #include "exec/sim_executor.hpp"
 #include "ml/metrics.hpp"
-#include "nn/adam.hpp"
 
 namespace agebo {
 namespace {
@@ -84,41 +83,6 @@ TEST(Metrics, LogLossPerfectAndUniform) {
   const std::vector<double> uniform = {0.25, 0.25, 0.25, 0.25};
   EXPECT_NEAR(ml::log_loss(y4, uniform, 4), std::log(4.0), 1e-12);
   EXPECT_THROW(ml::log_loss(y, perfect, 3), std::invalid_argument);
-}
-
-// --------------------------------------------------------------------------
-// AdamW / clipping.
-
-TEST(AdamW, WeightDecayShrinksWeightsWithZeroGrad) {
-  std::vector<float> w = {10.0f};
-  std::vector<float> g = {0.0f};
-  nn::AdamConfig cfg;
-  cfg.lr = 0.1;
-  cfg.weight_decay = 0.5;
-  nn::Adam opt({nn::ParamRef{&w, &g}}, cfg);
-  opt.step();
-  // Decoupled decay: w -= lr * wd * w = 10 - 0.1*0.5*10 = 9.5.
-  EXPECT_NEAR(w[0], 9.5f, 1e-5);
-}
-
-TEST(ClipGradients, ScalesDownLargeNorm) {
-  std::vector<float> w = {0.0f, 0.0f};
-  std::vector<float> g = {3.0f, 4.0f};  // norm 5
-  std::vector<nn::ParamRef> params = {nn::ParamRef{&w, &g}};
-  const double norm = nn::clip_gradients(params, 1.0);
-  EXPECT_NEAR(norm, 5.0, 1e-6);
-  EXPECT_NEAR(g[0], 0.6f, 1e-5);
-  EXPECT_NEAR(g[1], 0.8f, 1e-5);
-}
-
-TEST(ClipGradients, NoOpWhenWithinBound) {
-  std::vector<float> w = {0.0f};
-  std::vector<float> g = {0.5f};
-  std::vector<nn::ParamRef> params = {nn::ParamRef{&w, &g}};
-  nn::clip_gradients(params, 1.0);
-  EXPECT_FLOAT_EQ(g[0], 0.5f);
-  nn::clip_gradients(params, 0.0);  // disabled
-  EXPECT_FLOAT_EQ(g[0], 0.5f);
 }
 
 // --------------------------------------------------------------------------

@@ -1,10 +1,8 @@
 // Tests for the fifth extension wave: progress callbacks, file-based
-// persistence round trips, live-executor utilization, and trainer
-// regularization knobs.
+// persistence round trips, and live-executor utilization.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <thread>
@@ -18,7 +16,6 @@
 #include "exec/live_executor.hpp"
 #include "exec/sim_executor.hpp"
 #include "nn/serialize.hpp"
-#include "nn/trainer.hpp"
 
 namespace agebo {
 namespace {
@@ -119,66 +116,6 @@ TEST(LiveExecutorStats, UtilizationTracksBusyTime) {
   EXPECT_GT(u.busy_worker_seconds, 0.07);  // ~4 x 20 ms
   EXPECT_GT(u.fraction(), 0.3);
   EXPECT_LE(u.fraction(), 1.05);
-}
-
-TEST(TrainerRegularization, WeightDecayShrinksWeightNorm) {
-  data::SyntheticSpec spec;
-  spec.n_rows = 300;
-  spec.seed = 21;
-  const auto ds = data::make_classification(spec);
-  Rng split_rng(2);
-  auto splits = data::split(ds, data::SplitFractions{}, split_rng);
-
-  auto weight_norm_after = [&](double weight_decay) {
-    nn::GraphSpec gspec;
-    gspec.input_dim = ds.n_features;
-    gspec.output_dim = ds.n_classes;
-    nn::NodeSpec node;
-    node.units = 16;
-    gspec.nodes = {node};
-    Rng net_rng(3);
-    nn::GraphNet net(gspec, net_rng);
-    nn::TrainConfig cfg;
-    cfg.epochs = 10;
-    cfg.batch_size = 32;
-    cfg.lr = 0.01;
-    cfg.weight_decay = weight_decay;
-    nn::train(net, splits.train, splits.valid, cfg);
-    double norm = 0.0;
-    for (auto& block : net.params()) {
-      for (float v : *block.values) norm += static_cast<double>(v) * v;
-    }
-    return norm;
-  };
-  EXPECT_LT(weight_norm_after(0.05), weight_norm_after(0.0));
-}
-
-TEST(TrainerRegularization, GradClipKeepsTrainingStable) {
-  data::SyntheticSpec spec;
-  spec.n_rows = 300;
-  spec.seed = 22;
-  const auto ds = data::make_classification(spec);
-  Rng split_rng(4);
-  auto splits = data::split(ds, data::SplitFractions{}, split_rng);
-
-  nn::GraphSpec gspec;
-  gspec.input_dim = ds.n_features;
-  gspec.output_dim = ds.n_classes;
-  nn::NodeSpec node;
-  node.units = 16;
-  gspec.nodes = {node};
-  Rng net_rng(5);
-  nn::GraphNet net(gspec, net_rng);
-  nn::TrainConfig cfg;
-  cfg.epochs = 8;
-  cfg.batch_size = 32;
-  cfg.lr = 0.05;  // aggressive
-  cfg.grad_clip_norm = 1.0;
-  const auto result = nn::train(net, splits.train, splits.valid, cfg);
-  EXPECT_GT(result.best_valid_accuracy, 0.5);
-  for (const auto& epoch : result.epochs) {
-    EXPECT_TRUE(std::isfinite(epoch.train_loss));
-  }
 }
 
 }  // namespace

@@ -556,7 +556,8 @@ TEST(EvalRequestDeadline, OverlongTrainingReportedAsTimeout) {
 }
 
 // --------------------------------------------------------------------------
-// History CSV round-trips the failed/attempts columns; legacy files load.
+// History CSV round-trips the failed/attempts columns; legacy files are
+// rejected cleanly.
 
 TEST(HistoryFaults, FailedAndAttemptsRoundTrip) {
   nas::SearchSpace space;
@@ -581,7 +582,9 @@ TEST(HistoryFaults, FailedAndAttemptsRoundTrip) {
   EXPECT_EQ(loaded[0].attempts, 3u);
 }
 
-TEST(HistoryFaults, LegacyHeaderStillLoads) {
+TEST(HistoryFaults, LegacyHeaderRejected) {
+  // The pre-fault-layer 8-column format is no longer read: loading it must
+  // fail at the header, not half-parse the rows.
   nas::SearchSpace space;
   Rng rng(15);
   const auto genome = space.random(rng);
@@ -593,15 +596,17 @@ TEST(HistoryFaults, LegacyHeaderStillLoads) {
   std::stringstream ss;
   ss << "index,finish_time,objective,train_seconds,bs1,lr1,n,genome\n"
      << "0,10,0.8,600,256,0.01,2," << row.str() << "\n";
-  const auto loaded = core::load_history(ss, space);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_FALSE(loaded[0].failed);
-  EXPECT_EQ(loaded[0].attempts, 1u);
-  EXPECT_DOUBLE_EQ(loaded[0].objective, 0.8);
+  try {
+    (void)core::load_history(ss, space);
+    FAIL() << "legacy history loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad header"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --------------------------------------------------------------------------
-// Elastic columns: round-trip, loading the two older generations, and
+// Elastic columns: round-trip, loading the fault-era generation, and
 // per-row format detection (the seam the checkpoint loaders rely on).
 
 TEST(HistoryElastic, DegradedAndFinalWorldRoundTrip) {
@@ -656,8 +661,8 @@ TEST(HistoryElastic, RowFormatDetectedByCellCount) {
   const std::string legacy = "0,10,0.8,600,256,0.01,2," + genome;
   const std::string fault_v2 = "0,10,0.8,600,0,1,256,0.01,2," + genome;
   const std::string current = "0,10,0.8,600,0,1,1,3,256,0.01,2," + genome;
-  EXPECT_EQ(core::history_row_format(legacy, "t"),
-            core::HistoryFormat::kLegacy);
+  // 8-cell pre-fault-layer rows match no supported generation.
+  EXPECT_THROW(core::history_row_format(legacy, "t"), std::runtime_error);
   EXPECT_EQ(core::history_row_format(fault_v2, "t"),
             core::HistoryFormat::kFaultV2);
   EXPECT_EQ(core::history_row_format(current, "t"),

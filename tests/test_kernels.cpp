@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "data/synthetic.hpp"
+#include "dp/data_parallel.hpp"
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
 #include "nn/graph_net.hpp"
@@ -16,7 +17,6 @@
 #include "nn/kernels/pool.hpp"
 #include "nn/kernels/workspace.hpp"
 #include "nn/tensor.hpp"
-#include "nn/trainer.hpp"
 
 namespace {
 
@@ -295,16 +295,15 @@ TEST(Kernels, TrainingDeterministicWithKernelThreadingEnabled) {
   wide.act = Activation::kRelu;
   gspec.nodes = {wide, wide};
 
-  TrainConfig cfg;
+  dp::DataParallelConfig cfg;  // n_procs = 1: the kernel pool still fans out
   cfg.epochs = 2;
-  cfg.batch_size = 256;
+  cfg.bs1 = 256;
   cfg.seed = 99;
 
   kernels::set_max_threads(8);
   auto run = [&] {
-    Rng net_rng(3);
-    GraphNet net(gspec, net_rng);
-    return nn::train(net, splits.train, splits.valid, cfg);
+    dp::DataParallelTrainer trainer(gspec, cfg);
+    return trainer.fit(splits.train, splits.valid);
   };
   const auto r1 = run();
   const auto r2 = run();

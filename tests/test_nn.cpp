@@ -1,11 +1,13 @@
 // Unit tests for src/nn: tensor kernels, activations, dense layer,
 // graph network forward/backward (with numerical gradient checks), loss,
-// Adam, schedules, and the trainer.
+// Adam, schedules, the batch helpers the training loop is built on, and
+// single-process training end to end.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "data/synthetic.hpp"
+#include "dp/data_parallel.hpp"
 #include "nn/activation.hpp"
 #include "nn/adam.hpp"
 #include "nn/dense.hpp"
@@ -431,6 +433,8 @@ TEST(Plateau, RespectsMinLr) {
 }
 
 TEST(Trainer, LearnsSeparableProblem) {
+  // The repo's one training loop is the dp trainer; n = 1 is plain
+  // single-process training.
   data::SyntheticSpec spec;
   spec.n_rows = 600;
   spec.n_features = 8;
@@ -450,60 +454,20 @@ TEST(Trainer, LearnsSeparableProblem) {
   n1.units = 16;
   n1.act = Activation::kRelu;
   gspec.nodes = {n1};
-  Rng net_rng(2);
-  GraphNet net(gspec, net_rng);
 
-  TrainConfig cfg;
+  dp::DataParallelConfig cfg;
+  cfg.n_procs = 1;
   cfg.epochs = 15;
-  cfg.batch_size = 32;
-  cfg.lr = 0.01;
-  const auto result = train(net, splits.train, splits.valid, cfg);
+  cfg.bs1 = 32;
+  cfg.lr1 = 0.01;
+  cfg.seed = 2;
+  dp::DataParallelTrainer trainer(gspec, cfg);
+  const auto result = trainer.fit(splits.train, splits.valid);
   EXPECT_GT(result.best_valid_accuracy, 0.85);
   EXPECT_EQ(result.epochs.size(), 15u);
   // Loss should drop substantially from first to last epoch.
   EXPECT_LT(result.epochs.back().train_loss,
             result.epochs.front().train_loss * 0.8);
-}
-
-TEST(Trainer, WarmupAffectsEarlyEpochLr) {
-  data::SyntheticSpec spec;
-  spec.n_rows = 200;
-  spec.seed = 4;
-  const auto ds = data::make_classification(spec);
-  Rng split_rng(5);
-  auto splits = data::split(ds, data::SplitFractions{}, split_rng);
-
-  GraphSpec gspec;
-  gspec.input_dim = ds.n_features;
-  gspec.output_dim = ds.n_classes;
-  NodeSpec n1;
-  n1.units = 8;
-  gspec.nodes = {n1};
-  Rng net_rng(6);
-  GraphNet net(gspec, net_rng);
-
-  TrainConfig cfg;
-  cfg.epochs = 7;
-  cfg.lr = 0.08;
-  cfg.warmup_div = 8.0;
-  cfg.warmup_epochs = 5;
-  cfg.batch_size = 32;
-  const auto result = train(net, splits.train, splits.valid, cfg);
-  EXPECT_NEAR(result.epochs[0].learning_rate, 0.01, 1e-9);
-  EXPECT_NEAR(result.epochs[5].learning_rate, 0.08, 1e-9);
-}
-
-TEST(Trainer, RejectsBadConfig) {
-  data::Dataset ds;
-  ds.n_rows = 0;
-  GraphSpec gspec;
-  gspec.input_dim = 2;
-  gspec.output_dim = 2;
-  Rng rng(1);
-  GraphNet net(gspec, rng);
-  TrainConfig cfg;
-  cfg.batch_size = 0;
-  EXPECT_THROW(train(net, ds, ds, cfg), std::invalid_argument);
 }
 
 TEST(Trainer, BatchFromExtractsRows) {

@@ -8,7 +8,7 @@
 //     same integers — see kernels/gemm_s8.hpp), including accumulate mode
 //     and prepacked weights,
 //   - v3 artifact round trip: identical int8 logits after save/load,
-//     v1/v2 artifacts still load and serve fp32,
+//     v2 artifacts load and serve fp32, v1 artifacts are rejected,
 //   - engine-level properties: run-to-run determinism, and int8 top-1
 //     accuracy within 0.5 pt of fp32 on trained synthetic datasets.
 #include <gtest/gtest.h>
@@ -23,12 +23,12 @@
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
 #include "data/synthetic.hpp"
+#include "dp/data_parallel.hpp"
 #include "nn/graph_net.hpp"
 #include "nn/kernels/gemm_s8.hpp"
 #include "nn/quant.hpp"
 #include "nn/serialize.hpp"
 #include "nn/tensor.hpp"
-#include "nn/trainer.hpp"
 #include "serve/engine.hpp"
 
 namespace agebo {
@@ -367,13 +367,14 @@ TEST(QuantArtifact, Fp32OnlyArtifactStaysV2) {
   engine.predict_batch(rows.data(), 3, out.data());
 }
 
-TEST(QuantArtifact, V1ArtifactStillLoadsAndServesFp32) {
+TEST(QuantArtifact, V1ArtifactRejected) {
   Rng rng(53);
   auto artifact = trained_artifact(rng, true);
   std::ostringstream saved;
   nn::save_artifact(artifact, saved);
   // Rewrite the v2 text as its v1 ancestor: v1 header, no meta section,
-  // no trailing checksum line.
+  // no trailing checksum line. v1 is no longer read; loading must fail on
+  // the version token with a message naming it.
   std::istringstream in(saved.str());
   std::ostringstream v1;
   std::string line;
@@ -391,18 +392,14 @@ TEST(QuantArtifact, V1ArtifactStillLoadsAndServesFp32) {
     v1 << line << '\n';
   }
   std::istringstream is(v1.str());
-  auto reloaded = nn::load_artifact(is);
-  EXPECT_FALSE(reloaded.has_quant());
-  serve::InferenceEngine engine(std::move(reloaded));
-
-  // Same weights, same fp32 logits as an engine over the original.
-  serve::InferenceEngine orig(artifact);
-  const std::size_t n = 11;
-  const auto rows = random_rows(n, artifact.spec.input_dim, rng);
-  std::vector<float> l1(n * artifact.spec.output_dim), l2(l1.size());
-  orig.predict_logits(rows.data(), n, l1.data());
-  engine.predict_logits(rows.data(), n, l2.data());
-  ASSERT_EQ(0, std::memcmp(l1.data(), l2.data(), l1.size() * sizeof(float)));
+  try {
+    (void)nn::load_artifact(is);
+    FAIL() << "v1 artifact loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 'v1'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(QuantEngine, Int8ModeRequiresQuantSection) {
@@ -492,15 +489,14 @@ void check_accuracy_delta(const data::SyntheticSpec& sspec,
     gspec.output_skips = {1};
   }
   gspec.nodes = {n1, n2};
-  Rng net_rng(9);
-  nn::GraphNet net(gspec, net_rng);
-  nn::TrainConfig cfg;
+  dp::DataParallelConfig cfg;  // n_procs = 1
   cfg.epochs = 12;
-  cfg.batch_size = 64;
-  cfg.lr = 0.01;
-  nn::train(net, splits.train, splits.valid, cfg);
+  cfg.bs1 = 64;
+  cfg.lr1 = 0.01;
+  dp::DataParallelTrainer trainer(gspec, cfg);
+  trainer.fit(splits.train, splits.valid);
 
-  auto artifact = nn::freeze_graphnet(net);
+  auto artifact = nn::freeze_graphnet(trainer.model());
   const std::size_t calib = std::min<std::size_t>(256, splits.train.n_rows);
   auto qart =
       serve::quantize_artifact(artifact, splits.train.x.data(), calib);

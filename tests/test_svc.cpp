@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/checksum.hpp"
 #include "core/search.hpp"
 #include "core/sha_search.hpp"
 #include "core/variants.hpp"
@@ -60,21 +61,21 @@ void expect_same_history(const std::vector<core::EvalRecord>& a,
 
 TEST(SvcCheckpoint, ChecksumRoundTrip) {
   const std::string payload = "agebo-svc-ckpt v1\nworkers 4 live 0\n";
-  const std::string framed = svc::with_checksum(payload);
-  EXPECT_EQ(svc::verify_checksum(framed, "test"), payload);
+  const std::string framed = with_checksum(payload);
+  EXPECT_EQ(verify_checksum(framed, "test"), payload);
 }
 
 TEST(SvcCheckpoint, DetectsCorruption) {
-  std::string framed = svc::with_checksum("clock 123.5\nnext-id 7\n");
+  std::string framed = with_checksum("clock 123.5\nnext-id 7\n");
   framed[6] = '9';  // flip one payload byte
-  EXPECT_THROW(svc::verify_checksum(framed, "test"), std::runtime_error);
+  EXPECT_THROW(verify_checksum(framed, "test"), std::runtime_error);
 }
 
 TEST(SvcCheckpoint, DetectsTruncation) {
-  const std::string framed = svc::with_checksum("clock 123.5\nnext-id 7\n");
+  const std::string framed = with_checksum("clock 123.5\nnext-id 7\n");
   // A partially written file loses the trailing checksum line.
   const std::string truncated = framed.substr(0, framed.size() / 2);
-  EXPECT_THROW(svc::verify_checksum(truncated, "test"), std::runtime_error);
+  EXPECT_THROW(verify_checksum(truncated, "test"), std::runtime_error);
 }
 
 TEST(SvcCheckpoint, AtomicWriteReadRoundTrip) {
