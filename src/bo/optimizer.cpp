@@ -39,7 +39,10 @@ ml::ForestConfig surrogate_config(const BoConfig& cfg) {
   fc.tree.max_depth = cfg.tree_depth;
   fc.tree.min_samples_leaf = 2;
   fc.tree.n_thresholds = 16;
-  fc.tree.max_features = 0;  // all features: H_m is low-dimensional
+  // 0 selects the forest's regression default, max(1, d/3) candidate
+  // features per split: one of AgEBO's three H_m dimensions (bs, lr, n).
+  // Every campaign history depends on this value (DESIGN.md §2).
+  fc.tree.max_features = 0;
   fc.seed = cfg.seed * 7919 + 1;
   return fc;
 }

@@ -230,6 +230,8 @@ DataParallelResult DataParallelTrainer::fit(const data::Dataset& train_set,
   std::vector<std::vector<int>> ys(n0);
   std::vector<nn::Tensor> dlogits(n0);
   std::vector<double> step_losses(n0, 0.0);
+  const std::size_t valid_rows = valid_set.n_rows;
+  std::vector<std::size_t> valid_correct(n0, 0);
 
   DataParallelResult result;
   const auto t0 = std::chrono::steady_clock::now();
@@ -425,8 +427,34 @@ DataParallelResult DataParallelTrainer::fit(const data::Dataset& train_set,
     }
     if (stopped_early) break;
 
+    // Validation collective: the replicas hold identical weights, so each
+    // live slot scores its own contiguous shard of the validation split
+    // and the coordinator sums the correct counts. Per-row logits do not
+    // depend on batch composition, so the accuracy is bit-identical to
+    // scoring the whole split on one replica. Kernel pinning matches the
+    // step's: with one live replica the shard is the whole split and the
+    // kernels fan out over the pool.
+    if (valid_rows == 0) {
+      throw std::invalid_argument("DataParallelTrainer::fit: empty validation set");
+    }
+    impl_->team->run([&](std::size_t g) {
+      if (elastic && !impl_->comm.membership().alive(g)) return;
+      const std::size_t slot = elastic ? impl_->comm.membership().slot(g) : g;
+      nn::kernels::ScopedThreadLimit kernel_serial(n > 1 ? 1 : 0);
+      const double s0 = kObsEnabled ? obs::trace_now_seconds() : 0.0;
+      valid_correct[g] = nn::count_correct(
+          *impl_->replicas[g], valid_set, valid_rows * slot / n,
+          valid_rows * (slot + 1) / n);
+      if (kObsEnabled) {
+        obs::record_span("dp.validate", lanes[g], s0,
+                         obs::trace_now_seconds() - s0,
+                         {{"mepoch", mepoch_str}});
+      }
+    });
+    std::size_t correct = 0;
+    for (const std::size_t g : world) correct += valid_correct[g];
     const double valid_acc =
-        nn::evaluate_accuracy(*impl_->replicas[world[0]], valid_set);
+        static_cast<double>(correct) / static_cast<double>(valid_rows);
     if (epoch >= cfg_.warmup_epochs || n == 1) {
       post_warmup_lr = plateau.update(valid_acc, lr);
     }

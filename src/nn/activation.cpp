@@ -1,5 +1,6 @@
 #include "nn/activation.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -66,8 +67,26 @@ void apply_activation(Activation a, const Tensor& z, Tensor& out) {
   out.rows = z.rows;
   out.cols = z.cols;
   out.v.resize(z.v.size());
-  for (std::size_t i = 0; i < z.v.size(); ++i) {
-    out.v[i] = activate_scalar(a, z.v[i]);
+  const std::size_t count = z.v.size();
+  const float* in = z.v.data();
+  float* dst = out.v.data();
+  // Switch once, not per element: ReLU (every skip combination) and
+  // identity are plain vector loops whose bits equal activate_scalar's
+  // (NaN -> 0 and -0 -> +0 for ReLU); the exp/tanh activations keep the
+  // scalar loop.
+  switch (a) {
+    case Activation::kIdentity:
+      std::copy(in, in + count, dst);
+      return;
+    case Activation::kRelu:
+#pragma omp simd
+      for (std::size_t i = 0; i < count; ++i) {
+        dst[i] = in[i] > 0.0f ? in[i] : 0.0f;
+      }
+      return;
+    default:
+      for (std::size_t i = 0; i < count; ++i) dst[i] = activate_scalar(a, in[i]);
+      return;
   }
 }
 

@@ -53,30 +53,35 @@ void DenseLayer::forward_add(const Tensor& x, Tensor& z) {
                 z.v.data(), out_, /*accumulate=*/true);
 }
 
-void DenseLayer::backward_impl(const Tensor& dz, Tensor& dx,
+void DenseLayer::backward_impl(const Tensor& dz, Tensor* dx,
                                bool accumulate_dx) {
   if (dz.cols != out_ || dz.rows != cached_x_.rows) {
     throw std::invalid_argument("DenseLayer::backward: shape");
   }
   // dW += x^T dz (accumulated straight into gw_); db += colsum(dz);
-  // dx (+)= dz W^T.
+  // dx (+)= dz W^T unless the caller has no use for it (dx == nullptr).
   kernels::gemm_at(in_, out_, dz.rows, cached_x_.v.data(), in_, dz.v.data(),
                    out_, gw_.v.data(), out_, /*accumulate=*/true);
   if (use_bias_) col_sums(dz, gb_);
-  if (!accumulate_dx) ensure_shape(dx, dz.rows, in_);
+  if (dx == nullptr) return;
+  if (!accumulate_dx) ensure_shape(*dx, dz.rows, in_);
   kernels::gemm_bt(dz.rows, in_, out_, dz.v.data(), out_, w_.v.data(), out_,
-                   dx.v.data(), in_, accumulate_dx);
+                   dx->v.data(), in_, accumulate_dx);
 }
 
 void DenseLayer::backward(const Tensor& dz, Tensor& dx) {
-  backward_impl(dz, dx, /*accumulate_dx=*/false);
+  backward_impl(dz, &dx, /*accumulate_dx=*/false);
 }
 
 void DenseLayer::backward_add(const Tensor& dz, Tensor& dx) {
   if (dx.rows != dz.rows || dx.cols != in_) {
     throw std::invalid_argument("DenseLayer::backward_add: output shape");
   }
-  backward_impl(dz, dx, /*accumulate_dx=*/true);
+  backward_impl(dz, &dx, /*accumulate_dx=*/true);
+}
+
+void DenseLayer::backward_params(const Tensor& dz) {
+  backward_impl(dz, nullptr, /*accumulate_dx=*/false);
 }
 
 void DenseLayer::zero_grad() {

@@ -53,6 +53,10 @@ class DenseLayer {
   /// whose input gradient sums into a shared buffer.
   void backward_add(const Tensor& dz, Tensor& dx);
 
+  /// Weights only: accumulate dL/dW and dL/db, skip the dL/dx GEMM. For
+  /// layers fed by the network input, whose gradient nothing reads.
+  void backward_params(const Tensor& dz);
+
   void zero_grad();
   std::vector<ParamRef> params();
   std::size_t num_params() const;
@@ -62,7 +66,7 @@ class DenseLayer {
   const std::vector<float>& bias() const { return b_; }
 
  private:
-  void backward_impl(const Tensor& dz, Tensor& dx, bool accumulate_dx);
+  void backward_impl(const Tensor& dz, Tensor* dx, bool accumulate_dx);
 
   std::size_t in_;
   std::size_t out_;

@@ -70,6 +70,12 @@ GraphNet::GraphNet(GraphSpec spec, Rng& rng) : spec_(std::move(spec)) {
   outs_.resize(m + 1);
   pre_act_.resize(m);
   grad_outs_.resize(m + 1);
+  // Id 0 and the outputs of any leading identity nodes all have the input
+  // width, so no parameter lies upstream of them (see first_grad_id_).
+  first_grad_id_ = 1;
+  while (first_grad_id_ <= m && spec_.nodes[first_grad_id_ - 1].is_identity) {
+    ++first_grad_id_;
+  }
 
   // params() index ranges per layer, in params() emission order. Counting
   // here must mirror params(): combine projections (1 block each, no bias)
@@ -120,7 +126,10 @@ void GraphNet::combine_backward(Combine& c, const Tensor& d_combined,
                         c.d_sum.v.size());
   add_inplace(grad_outs[base_id], c.d_sum);
   for (auto& edge : c.edges) {
-    if (edge.proj.has_value()) {
+    if (edge.src < first_grad_id_) {
+      // No parameter lies upstream of the source: projection weights only.
+      if (edge.proj.has_value()) edge.proj->backward_params(c.d_sum);
+    } else if (edge.proj.has_value()) {
       // dx of the projection accumulates into the source's gradient
       // buffer inside the backward GEMM.
       edge.proj->backward_add(c.d_sum, grad_outs[edge.src]);
@@ -162,11 +171,22 @@ const Tensor& GraphNet::forward(const Tensor& x) {
 
 void GraphNet::backward(const Tensor& dlogits) {
   const std::size_t m = spec_.nodes.size();
-  for (std::size_t k = 0; k <= m; ++k) {
+  const std::size_t g0 = first_grad_id_;
+  // Ids below g0 (the input and any leading identity nodes, with or without
+  // skip combines) all have the input width, so no combine among them has a
+  // projection and no parameter lies upstream of them: their gradient is
+  // never formed. Layers fed by those ids compute weight gradients only,
+  // and the identity adds into them are skipped.
+  for (std::size_t k = g0; k <= m; ++k) {
     ensure_shape(grad_outs_[k], outs_[k].rows, outs_[k].cols);
     std::fill(grad_outs_[k].v.begin(), grad_outs_[k].v.end(), 0.0f);
   }
 
+  if (m < g0) {
+    output_dense_->backward_params(dlogits);
+    fire_grad_ready(output_dense_range_);
+    return;
+  }
   output_dense_->backward(dlogits, d_input_buf_);
   fire_grad_ready(output_dense_range_);
   if (output_combine_.active()) {
@@ -176,7 +196,9 @@ void GraphNet::backward(const Tensor& dlogits) {
     add_inplace(grad_outs_[m], d_input_buf_);
   }
 
-  for (std::size_t k = m; k-- > 0;) {
+  // Down to node g0 - 1, the first dense node; the identity nodes before
+  // it have no parameters.
+  for (std::size_t k = m; k-- > g0 - 1;) {
     const Tensor* d_node_input;
     if (spec_.nodes[k].is_identity) {
       d_node_input = &grad_outs_[k + 1];
@@ -187,6 +209,11 @@ void GraphNet::backward(const Tensor& dlogits) {
       kernels::act_grad_mul(spec_.nodes[k].act, pre_act_[k].v.data(),
                             grad_outs_[k + 1].v.data(), dz_buf_.v.data(),
                             dz_buf_.v.size());
+      if (k < g0) {
+        node_dense_[k]->backward_params(dz_buf_);
+        fire_grad_ready(node_dense_range_[k]);
+        continue;
+      }
       node_dense_[k]->backward(dz_buf_, d_input_buf_);
       fire_grad_ready(node_dense_range_[k]);
       d_node_input = &d_input_buf_;

@@ -113,7 +113,9 @@ class GraphNet {
   /// then ReLU. Projections accumulate straight into the sum buffer.
   void combine_forward(Combine& c, const Tensor& base,
                        const std::vector<Tensor>& outs, Tensor& combined);
-  /// Backward through a combination; adds source grads into `grad_outs`.
+  /// Backward through a combination; adds source grads into `grad_outs`
+  /// (skipping sources below first_grad_id_, whose gradient is never
+  /// formed).
   void combine_backward(Combine& c, const Tensor& d_combined,
                         std::vector<Tensor>& grad_outs, std::size_t base_id);
 
@@ -140,7 +142,11 @@ class GraphNet {
   Tensor combine_buf_;            // combined node input when skips are active
 
   // Backward scratch, persistent so repeated steps reuse capacity.
-  std::vector<Tensor> grad_outs_;
+  std::vector<Tensor> grad_outs_;  // [first_grad_id_, m]; lower ids unused
+  /// Smallest node id whose output gradient backward forms. Lower ids (0
+  /// and any leading identity nodes) all have the input width, so they get
+  /// no projections and no parameter lies upstream of them.
+  std::size_t first_grad_id_ = 1;
   Tensor dz_buf_;                 // act-grad-fused dL/dz of the current node
   Tensor d_input_buf_;            // dL/d(node input) staging
 

@@ -45,9 +45,10 @@ double softmax_cross_entropy(const Tensor& logits, const std::vector<int>& label
   return loss / static_cast<double>(logits.rows);
 }
 
-double accuracy(const Tensor& logits, const std::vector<int>& labels) {
-  if (labels.size() != logits.rows || logits.rows == 0) {
-    throw std::invalid_argument("accuracy: shape");
+std::size_t correct_predictions(const Tensor& logits,
+                                const std::vector<int>& labels) {
+  if (labels.size() != logits.rows) {
+    throw std::invalid_argument("correct_predictions: shape");
   }
   std::size_t correct = 0;
   for (std::size_t i = 0; i < logits.rows; ++i) {
@@ -58,7 +59,7 @@ double accuracy(const Tensor& logits, const std::vector<int>& labels) {
     }
     if (static_cast<int>(best) == labels[i]) ++correct;
   }
-  return static_cast<double>(correct) / static_cast<double>(logits.rows);
+  return correct;
 }
 
 std::vector<int> predict_classes(const Tensor& logits) {

@@ -15,8 +15,9 @@ void softmax(const Tensor& logits, Tensor& probs);
 double softmax_cross_entropy(const Tensor& logits, const std::vector<int>& labels,
                              Tensor& dlogits);
 
-/// Fraction of rows whose argmax matches the label.
-double accuracy(const Tensor& logits, const std::vector<int>& labels);
+/// Number of rows whose argmax matches the label.
+std::size_t correct_predictions(const Tensor& logits,
+                                const std::vector<int>& labels);
 
 /// Argmax predictions per row.
 std::vector<int> predict_classes(const Tensor& logits);

@@ -24,8 +24,15 @@ void batch_from(const data::Dataset& ds, const std::vector<std::size_t>& order,
                 std::size_t begin, std::size_t end, Tensor& x,
                 std::vector<int>& y);
 
-/// Accuracy of `net` over an entire dataset, evaluated in batches.
-double evaluate_accuracy(GraphNet& net, const data::Dataset& ds,
-                         std::size_t batch_size = 4096);
+/// Number of rows in [begin, end) of `ds` whose argmax prediction matches
+/// the label, scored in batches. A row's logits do not depend on which rows
+/// share its batch, so disjoint ranges scored separately (e.g. one per
+/// data-parallel replica) sum to exactly the count of the whole range. An
+/// empty range scores 0 without running the net.
+std::size_t count_correct(GraphNet& net, const data::Dataset& ds,
+                          std::size_t begin, std::size_t end);
+
+/// Accuracy of `net` over an entire dataset: count_correct over every row.
+double evaluate_accuracy(GraphNet& net, const data::Dataset& ds);
 
 }  // namespace agebo::nn

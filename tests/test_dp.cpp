@@ -16,6 +16,7 @@
 #include "nn/graph_net.hpp"
 #include "nn/loss.hpp"
 #include "nn/trainer.hpp"
+#include "obs/span.hpp"
 
 namespace agebo::dp {
 namespace {
@@ -238,6 +239,140 @@ TEST(DataParallel, WarmupRampsTowardScaledLr) {
   EXPECT_NEAR(result.epochs[0].learning_rate, 0.002, 1e-12);
   // Epoch 5 reaches the scaled rate n * lr1 = 0.008.
   EXPECT_NEAR(result.epochs[5].learning_rate, 0.008, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Validation collective: every live replica scores its own shard of the
+// validation split; the summed counts must equal one replica scoring it all.
+
+struct ValidationRun {
+  DataParallelResult result;
+  std::size_t checked_epochs = 0;
+  float divergence = 0.0f;
+  std::vector<obs::TraceEvent> trace;
+};
+
+ValidationRun fit_checking_validation(DataParallelConfig cfg,
+                                      const data::Dataset& train,
+                                      const data::Dataset& valid) {
+  ValidationRun run;
+  DataParallelTrainer* self = nullptr;
+  cfg.on_epoch = [&](std::size_t epoch, const nn::EpochStats& stats) {
+    // model() is the lowest live rank's replica; scoring it on the caller
+    // thread (kernels fanned out) must reproduce the sharded accuracy.
+    EXPECT_EQ(stats.valid_accuracy,
+              nn::evaluate_accuracy(self->model(), valid))
+        << "n=" << cfg.n_procs << " V=" << valid.n_rows << " epoch " << epoch;
+    ++run.checked_epochs;
+  };
+  DataParallelTrainer trainer(dp_net_spec(), cfg);
+  self = &trainer;
+  obs::trace_reset();
+  run.result = trainer.fit(train, valid);
+  run.trace = obs::collect_trace_events();
+  run.divergence = trainer.max_replica_divergence();
+  return run;
+}
+
+/// World size at each epoch's validation: n_procs, shrunk by every elastic
+/// event recorded up to and including that epoch.
+std::vector<std::size_t> world_per_epoch(const DataParallelResult& result,
+                                         std::size_t n_procs) {
+  std::vector<std::size_t> out;
+  for (std::size_t e = 0; e < result.epochs.size(); ++e) {
+    std::size_t n = n_procs;
+    for (const auto& ev : result.elastic_events) {
+      if (ev.epoch <= e) n = ev.new_world;
+    }
+    out.push_back(n);
+  }
+  return out;
+}
+
+/// One dp.validate span per live replica per epoch, each inside a dp.epoch.
+void expect_validate_spans(const ValidationRun& run, std::size_t n_procs) {
+#ifndef AGEBO_OBS_DISABLED
+  std::vector<const obs::TraceEvent*> epochs;
+  std::vector<const obs::TraceEvent*> validates;
+  for (const auto& e : run.trace) {
+    if (e.name == "dp.epoch") epochs.push_back(&e);
+    if (e.name == "dp.validate") validates.push_back(&e);
+  }
+  std::size_t want = 0;
+  for (const std::size_t n : world_per_epoch(run.result, n_procs)) want += n;
+  EXPECT_EQ(validates.size(), want);
+  const double slack_us = 1.0;
+  for (const auto* v : validates) {
+    EXPECT_EQ(v->lane.rfind("dp.replica.", 0), 0u) << v->lane;
+    bool inside = false;
+    for (const auto* e : epochs) {
+      inside = inside || (v->start_us + slack_us >= e->start_us &&
+                          v->start_us + v->dur_us <=
+                              e->start_us + e->dur_us + slack_us);
+    }
+    EXPECT_TRUE(inside) << "dp.validate on " << v->lane
+                        << " outside every dp.epoch";
+  }
+#else
+  (void)run;
+  (void)n_procs;
+#endif
+}
+
+TEST(DataParallel, ShardedValidationMatchesSingleReplica) {
+  const auto ds = dp_dataset(400);
+  Rng split_rng(6);
+  auto splits = data::split(ds, data::SplitFractions{}, split_rng);
+
+  for (const std::size_t n : {2u, 3u, 4u}) {
+    // Divisible by every n, divisible by none, and fewer rows than replicas
+    // (some shards are empty).
+    for (const std::size_t rows : {std::size_t{12}, std::size_t{13}, n - 1}) {
+      std::vector<std::size_t> pick(rows);
+      for (std::size_t i = 0; i < rows; ++i) pick[i] = i;
+      const data::Dataset valid = splits.valid.subset(pick);
+
+      DataParallelConfig cfg;
+      cfg.n_procs = n;
+      cfg.lr1 = 0.005;
+      cfg.bs1 = 16;
+      cfg.epochs = 3;
+      const ValidationRun run =
+          fit_checking_validation(cfg, splits.train, valid);
+      EXPECT_EQ(run.checked_epochs, cfg.epochs);
+      EXPECT_EQ(run.divergence, 0.0f);
+      if (n == 3 && rows == 13) expect_validate_spans(run, n);
+    }
+  }
+
+  // Elastic: a replica crashes after the first validation; the survivors
+  // (still more than one) re-shard validation over their dense slots and
+  // must still match the single-replica score. Fault draws are stateless
+  // per seed, so scan for a seed with such a loss.
+  bool reconfigured = false;
+  for (std::uint64_t seed = 1; seed <= 200 && !reconfigured; ++seed) {
+    DataParallelConfig cfg;
+    cfg.n_procs = 4;
+    cfg.lr1 = 0.005;
+    cfg.bs1 = 8;
+    cfg.epochs = 3;
+    cfg.elastic.enabled = true;
+    cfg.elastic.faults.crash_prob = 0.02;
+    cfg.elastic.faults.seed = seed;
+    const ValidationRun run =
+        fit_checking_validation(cfg, splits.train, splits.valid);
+    const auto& events = run.result.elastic_events;
+    if (events.empty() || events.back().epoch == 0 ||
+        run.result.final_world < 2) {
+      continue;
+    }
+    reconfigured = true;
+    EXPECT_EQ(run.checked_epochs, cfg.epochs);
+    EXPECT_EQ(run.divergence, 0.0f);
+    expect_validate_spans(run, cfg.n_procs);
+  }
+  EXPECT_TRUE(reconfigured) << "no fault seed in 1..200 lost a replica "
+                               "after epoch 0 and kept two";
 }
 
 TEST(DataParallel, GradAveragingMatchesSingleLargeBatch) {

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "data/synthetic.hpp"
 #include "dp/data_parallel.hpp"
@@ -113,6 +116,56 @@ TEST(Activation, ReluClampsNegative) {
   EXPECT_FLOAT_EQ(activate_scalar(Activation::kRelu, 3.0f), 3.0f);
 }
 
+TEST(Activation, ApplyMatchesScalarBitwiseOnSpecialValues) {
+  // apply_activation must reproduce activate_scalar bit for bit, including
+  // NaN -> 0 and -0 -> +0 for ReLU and NaN payloads through identity. IEEE
+  // leaves the sign of a NaN computed by arithmetic unspecified, so for
+  // swish/tanh/sigmoid a NaN result only has to be a NaN.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> specials = {
+      0.0f,    -0.0f,   denorm, -denorm, 1e-39f, -1e-39f, inf,  -inf,
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      1.5f,    -2.25f,  3e38f,  -3e38f};
+  Tensor z(1, 0);
+  // Several copies so vector bodies and remainders both see every value.
+  for (int rep = 0; rep < 5; ++rep) {
+    z.v.insert(z.v.end(), specials.begin(), specials.end());
+  }
+  z.cols = z.v.size();
+  auto bits = [](float f) {
+    std::uint32_t u = 0;
+    std::memcpy(&u, &f, sizeof u);
+    return u;
+  };
+  for (int i = 0; i < kNumActivations; ++i) {
+    const Activation act = activation_from_index(i);
+    Tensor out;
+    apply_activation(act, z, out);
+    ASSERT_EQ(out.v.size(), z.v.size());
+    const bool exact_nan =
+        act == Activation::kRelu || act == Activation::kIdentity;
+    for (std::size_t k = 0; k < z.v.size(); ++k) {
+      const float want = activate_scalar(act, z.v[k]);
+      if (std::isnan(want) && !exact_nan) {
+        EXPECT_TRUE(std::isnan(out.v[k])) << to_string(act) << " at " << k;
+        continue;
+      }
+      EXPECT_EQ(bits(out.v[k]), bits(want))
+          << to_string(act) << " at element " << k << " (z=" << z.v[k] << ")";
+    }
+  }
+  // ReLU's defined results on the edge cases.
+  Tensor out;
+  apply_activation(Activation::kRelu, z, out);
+  EXPECT_EQ(bits(out.v[1]), bits(0.0f));  // -0 -> +0
+  EXPECT_EQ(bits(out.v[8]), bits(0.0f));  // NaN -> +0
+  EXPECT_EQ(out.v[2], denorm);            // positive denormal kept
+  EXPECT_EQ(out.v[6], inf);
+  EXPECT_EQ(bits(out.v[7]), bits(0.0f));  // -inf -> +0
+}
+
 TEST(Activation, IndexRoundTrip) {
   for (int i = 0; i < kNumActivations; ++i) {
     EXPECT_EQ(static_cast<int>(activation_from_index(i)), i);
@@ -170,6 +223,29 @@ TEST(Dense, BackwardGradCheck) {
     w = orig;
     const float numeric = (up - down) / (2.0f * eps);
     EXPECT_NEAR((*params[0].grads)[trial], numeric, 2e-2);
+  }
+}
+
+TEST(Dense, BackwardParamsMatchesBackwardWeightGradients) {
+  Rng rng(4);
+  DenseLayer a(5, 3, true, rng);
+  DenseLayer b = a;
+  Tensor x(7, 5);
+  for (auto& v : x.v) v = static_cast<float>(rng.normal());
+  Tensor dz(7, 3);
+  for (auto& v : dz.v) v = static_cast<float>(rng.normal());
+  Tensor za, zb, dx;
+  a.forward(x, za);
+  b.forward(x, zb);
+  a.zero_grad();
+  b.zero_grad();
+  a.backward(dz, dx);
+  b.backward_params(dz);
+  const auto pa = a.params();
+  const auto pb = b.params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t blk = 0; blk < pa.size(); ++blk) {
+    EXPECT_EQ(*pa[blk].grads, *pb[blk].grads) << "block " << blk;
   }
 }
 
@@ -259,12 +335,16 @@ TEST(GraphNet, SkipProjectionOnlyWhenWidthsDiffer) {
   EXPECT_EQ(net.num_params(), expected);
 }
 
-/// Full-network gradient check through skips, projections, and softmax CE.
-TEST(GraphNet, EndToEndGradCheck) {
+/// Full-network gradient check through skips, projections, and softmax CE:
+/// backward's parameter gradients agree with central differences of the
+/// loss on two random entries of every block, and its grad-ready hook
+/// announces every block exactly once, output layer first. Returns the
+/// entries checked.
+std::size_t check_grads_against_numeric(const GraphSpec& spec) {
   Rng rng(8);
-  GraphNet net(small_spec(true), rng);
+  GraphNet net(spec, rng);
   Rng data_rng(9);
-  Tensor x(6, 5);
+  Tensor x(6, spec.input_dim);
   for (auto& v : x.v) v = static_cast<float>(data_rng.normal());
   std::vector<int> y = {0, 1, 2, 0, 1, 2};
 
@@ -278,9 +358,20 @@ TEST(GraphNet, EndToEndGradCheck) {
   net.zero_grad();
   Tensor dlogits;
   softmax_cross_entropy(logits, y, dlogits);
-  net.backward(dlogits);
-
   auto params = net.params();
+  std::vector<int> announced(params.size(), 0);
+  std::size_t floor = params.size();
+  net.set_grad_ready_hook([&](std::size_t begin, std::size_t end) {
+    EXPECT_LE(end, floor);
+    floor = begin;
+    for (std::size_t b = begin; b < end; ++b) ++announced[b];
+  });
+  net.backward(dlogits);
+  net.set_grad_ready_hook(nullptr);
+  for (std::size_t b = 0; b < params.size(); ++b) {
+    EXPECT_EQ(announced[b], 1) << "block " << b;
+  }
+
   const float eps = 1e-2f;
   std::size_t checked = 0;
   Rng pick(10);
@@ -301,7 +392,57 @@ TEST(GraphNet, EndToEndGradCheck) {
       ++checked;
     }
   }
-  EXPECT_GE(checked, 10u);
+  return checked;
+}
+
+TEST(GraphNet, EndToEndGradCheck) {
+  EXPECT_GE(check_grads_against_numeric(small_spec(true)), 10u);
+
+  // Every way a layer can read the raw input, whose own gradient backward
+  // never forms: a readout with no dense node before it, a leading
+  // identity node, and skips from the input through a projection (into
+  // the output) and through the identity map (into a same-width node).
+  GraphSpec readout_only;
+  readout_only.input_dim = 5;
+  readout_only.output_dim = 3;
+  EXPECT_EQ(check_grads_against_numeric(readout_only), 4u);
+  NodeSpec pass;
+  pass.is_identity = true;
+  readout_only.nodes = {pass, pass};
+  readout_only.output_skips = {0, 1};
+  EXPECT_EQ(check_grads_against_numeric(readout_only), 4u);
+
+  GraphSpec spec;
+  spec.input_dim = 5;
+  spec.output_dim = 3;
+  NodeSpec n1;
+  n1.is_identity = true;
+  NodeSpec n2;
+  n2.units = 5;
+  n2.act = Activation::kTanh;
+  NodeSpec n3;
+  n3.units = 4;
+  n3.act = Activation::kSwish;
+  n3.skips = {0, 1};  // identity map from the input, N1 at width 5
+  spec.nodes = {n1, n2, n3};
+  spec.output_skips = {0};  // projection from the input
+  EXPECT_EQ(check_grads_against_numeric(spec), 14u);  // 7 blocks
+
+  // A leading identity node with an active combine: its output, ReLU(2x),
+  // is not the raw input but still has the input width, so nothing
+  // upstream of it has parameters.
+  GraphSpec combined;
+  combined.input_dim = 5;
+  combined.output_dim = 3;
+  NodeSpec id_skip;
+  id_skip.is_identity = true;
+  id_skip.skips = {0};
+  NodeSpec dense;
+  dense.units = 4;
+  dense.skips = {1};  // identity add from a leading identity node
+  combined.nodes = {n1, id_skip, dense};
+  combined.output_skips = {0, 2};  // projections from both width-5 ids
+  EXPECT_EQ(check_grads_against_numeric(combined), 12u);  // 6 blocks
 }
 
 TEST(GraphNet, DescribeMentionsStructure) {
@@ -354,7 +495,7 @@ TEST(Loss, AccuracyCountsArgmaxMatches) {
   logits.at(0, 0) = 1.0f;  // pred 0
   logits.at(1, 1) = 1.0f;  // pred 1
   logits.at(2, 0) = 1.0f;  // pred 0
-  EXPECT_DOUBLE_EQ(accuracy(logits, {0, 1, 1}), 2.0 / 3.0);
+  EXPECT_EQ(correct_predictions(logits, {0, 1, 1}), 2u);
   EXPECT_EQ(predict_classes(logits), (std::vector<int>{0, 1, 0}));
 }
 
@@ -468,6 +609,36 @@ TEST(Trainer, LearnsSeparableProblem) {
   // Loss should drop substantially from first to last epoch.
   EXPECT_LT(result.epochs.back().train_loss,
             result.epochs.front().train_loss * 0.8);
+}
+
+TEST(Trainer, CountCorrectSumsOverDisjointRanges) {
+  data::SyntheticSpec spec;
+  spec.n_rows = 53;
+  spec.n_features = 5;
+  spec.n_classes = 3;
+  spec.n_informative = 4;
+  spec.seed = 4;
+  const auto ds = data::make_classification(spec);
+  Rng rng(8);
+  GraphNet net(small_spec(true), rng);
+
+  const std::size_t whole = count_correct(net, ds, 0, ds.n_rows);
+  EXPECT_EQ(evaluate_accuracy(net, ds),
+            static_cast<double>(whole) / static_cast<double>(ds.n_rows));
+  // Range cuts change which rows share a forward pass, never a row's
+  // prediction.
+  EXPECT_EQ(count_correct(net, ds, 0, 20) + count_correct(net, ds, 20, 21) +
+                count_correct(net, ds, 21, ds.n_rows),
+            whole);
+  std::size_t by_row = 0;
+  for (std::size_t r = 0; r < ds.n_rows; ++r) {
+    by_row += count_correct(net, ds, r, r + 1);
+  }
+  EXPECT_EQ(by_row, whole);
+  EXPECT_EQ(count_correct(net, ds, 9, 9), 0u);
+  EXPECT_THROW(count_correct(net, ds, 5, 4), std::invalid_argument);
+  EXPECT_THROW(count_correct(net, ds, 0, ds.n_rows + 1), std::invalid_argument);
+  EXPECT_THROW(evaluate_accuracy(net, data::Dataset{}), std::invalid_argument);
 }
 
 TEST(Trainer, BatchFromExtractsRows) {
