@@ -119,29 +119,46 @@ double AskTellOptimizer::acquisition_value(double mu, double sigma,
   return (mu - best_observed - cfg_.xi) * normal_cdf(z) + sigma * normal_pdf(z);
 }
 
-Point AskTellOptimizer::acquire(double best_observed) {
+std::vector<Point> AskTellOptimizer::draw_pool(std::vector<double>& mu,
+                                               std::vector<double>& sigma) {
   const std::size_t d = space_.size();
-  Point best_point;
-  double best_score = -1e300;
-  std::vector<float> feat(d);
+  std::vector<Point> pool;
+  pool.reserve(cfg_.n_candidates);
+  std::vector<float> feat;
+  feat.reserve(cfg_.n_candidates * d);
   for (std::size_t c = 0; c < cfg_.n_candidates; ++c) {
     Point p = space_.sample(rng_);
     // Skip configurations already evaluated; the paper samples among
     // *unevaluated* configurations.
     if (seen_.count(space_.key(p)) > 0) continue;
-    const auto features = space_.to_features(p);
-    for (std::size_t j = 0; j < d; ++j) feat[j] = static_cast<float>(features[j]);
-    double mu = 0.0;
-    double sigma = 0.0;
-    surrogate_.predict_with_uncertainty(feat.data(), mu, sigma);
-    const double score = acquisition_value(mu, sigma, best_observed);
+    for (const double f : space_.to_features(p)) {
+      feat.push_back(static_cast<float>(f));
+    }
+    pool.push_back(std::move(p));
+  }
+  mu.resize(pool.size());
+  sigma.resize(pool.size());
+  if (!pool.empty()) {
+    surrogate_.predict_many(feat.data(), pool.size(), mu.data(), sigma.data());
+  }
+  return pool;
+}
+
+Point AskTellOptimizer::acquire(double best_observed) {
+  std::vector<double> mu;
+  std::vector<double> sigma;
+  std::vector<Point> pool = draw_pool(mu, sigma);
+  std::size_t best = pool.size();
+  double best_score = -1e300;
+  for (std::size_t c = 0; c < pool.size(); ++c) {
+    const double score = acquisition_value(mu[c], sigma[c], best_observed);
     if (score > best_score) {
       best_score = score;
-      best_point = std::move(p);
+      best = c;
     }
   }
-  if (best_point.empty()) best_point = space_.sample(rng_);  // all seen
-  return best_point;
+  if (best == pool.size()) return space_.sample(rng_);  // all seen
+  return std::move(pool[best]);
 }
 
 std::vector<Point> AskTellOptimizer::ask(std::size_t k) {
@@ -234,30 +251,12 @@ void AskTellOptimizer::ensure_fit() {
 
 std::vector<Point> AskTellOptimizer::ask_qucb(std::size_t k) {
   ensure_fit();
-  const std::size_t d = space_.size();
 
   // One shared candidate pool, scored once: the batch costs one fit plus
   // one pool scoring instead of k of each under the constant liar.
-  struct Cand {
-    Point p;
-    double mu;
-    double sigma;
-  };
-  std::vector<Cand> pool;
-  pool.reserve(cfg_.n_candidates);
-  std::vector<float> feat(d);
-  for (std::size_t c = 0; c < cfg_.n_candidates; ++c) {
-    Point p = space_.sample(rng_);
-    if (seen_.count(space_.key(p)) > 0) continue;
-    const auto features = space_.to_features(p);
-    for (std::size_t j = 0; j < d; ++j) feat[j] = static_cast<float>(features[j]);
-    Cand cand;
-    cand.mu = 0.0;
-    cand.sigma = 0.0;
-    surrogate_.predict_with_uncertainty(feat.data(), cand.mu, cand.sigma);
-    cand.p = std::move(p);
-    pool.push_back(std::move(cand));
-  }
+  std::vector<double> mu;
+  std::vector<double> sigma;
+  const std::vector<Point> pool = draw_pool(mu, sigma);
 
   std::vector<Point> out;
   out.reserve(k);
@@ -272,7 +271,7 @@ std::vector<Point> AskTellOptimizer::ask_qucb(std::size_t k) {
     double best_score = -1e300;
     for (std::size_t c = 0; c < pool.size(); ++c) {
       if (taken[c]) continue;
-      const double score = pool[c].mu + kappa_i * pool[c].sigma;
+      const double score = mu[c] + kappa_i * sigma[c];
       if (score > best_score) {
         best_score = score;
         best = c;
@@ -283,7 +282,7 @@ std::vector<Point> AskTellOptimizer::ask_qucb(std::size_t k) {
       continue;
     }
     taken[best] = 1;
-    out.push_back(pool[best].p);
+    out.push_back(pool[best]);
   }
   return out;
 }

@@ -131,7 +131,13 @@ class AskTellOptimizer {
   std::vector<Point> ask_qucb(std::size_t k);
   /// UCB (Eq. 3) or EI score of a surrogate prediction.
   double acquisition_value(double mu, double sigma, double best_observed) const;
-  /// Argmax of the acquisition over a fresh random candidate pool.
+  /// Draw n_candidates points, keep the unevaluated ones in draw order and
+  /// score them with one surrogate call (mu/sigma per kept point). No draw
+  /// depends on a prediction, so the rng advances exactly as it would if
+  /// each point were scored as it was drawn.
+  std::vector<Point> draw_pool(std::vector<double>& mu,
+                               std::vector<double>& sigma);
+  /// Argmax (first maximum) of the acquisition over a fresh candidate pool.
   Point acquire(double best_observed);
 
   ParamSpace space_;

@@ -1,8 +1,8 @@
 #include "bo/param_space.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace agebo::bo {
@@ -109,13 +109,17 @@ void ParamSpace::validate(const Point& p) const {
 }
 
 std::string ParamSpace::key(const Point& p) const {
-  std::ostringstream os;
-  os.precision(12);
+  // to_chars with general format and precision 12 is printf "%.12g" by
+  // definition: the text a precision-12 ostream writes, without the stream.
+  std::string out;
+  char buf[32];
   for (std::size_t i = 0; i < p.size(); ++i) {
-    if (i) os << '|';
-    os << p[i];
+    if (i) out.push_back('|');
+    const auto res = std::to_chars(buf, buf + sizeof buf, p[i],
+                                   std::chars_format::general, 12);
+    out.append(buf, res.ptr);
   }
-  return os.str();
+  return out;
 }
 
 ParamSpace ParamSpace::paper_space() {

@@ -354,7 +354,15 @@ DataParallelResult DataParallelTrainer::fit(const data::Dataset& train_set,
           }
           if (elastic) {
             if (!impl_->comm.reduce_rank_elastic(slot, g, lanes[g])) {
-              return;  // step aborted: discard, no optimizer update
+              // Step aborted: discard, no optimizer update. The attempt
+              // still gets its dp.step span so the bucket spans it already
+              // recorded nest inside one.
+              if (kObsEnabled) {
+                obs::record_span("dp.step", lanes[g], s0,
+                                 obs::trace_now_seconds() - s0,
+                                 {{"mepoch", mepoch_str}, {"aborted", "1"}});
+              }
+              return;
             }
           } else {
             impl_->comm.reduce_rank(g, *impl_->team, lanes[g]);

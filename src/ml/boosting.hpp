@@ -40,6 +40,9 @@ class GradientBoostingClassifier final : public RowwisePredictor {
   std::vector<double> predict_proba_row(const float* row) const override;
 
   std::size_t n_rounds_fitted() const { return trees_.size(); }
+  const DecisionTree& tree(std::size_t round, std::size_t cls) const {
+    return trees_.at(round).at(cls);
+  }
 
  private:
   void scores_for_row(const float* row, std::vector<double>& scores) const;

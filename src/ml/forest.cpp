@@ -1,5 +1,6 @@
 #include "ml/forest.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -144,18 +145,28 @@ double RandomForestRegressor::predict_row(const float* row) const {
 void RandomForestRegressor::predict_with_uncertainty(const float* row,
                                                      double& mean,
                                                      double& stddev) const {
+  predict_many(row, 1, &mean, &stddev);
+}
+
+void RandomForestRegressor::predict_many(const float* x, std::size_t n,
+                                         double* mean, double* stddev) const {
   if (trees_.empty()) throw std::logic_error("RandomForestRegressor: not fitted");
-  double sum = 0.0;
-  double sumsq = 0.0;
+  // mean/stddev hold each row's running sum/sum of squares until the end.
+  std::fill(mean, mean + n, 0.0);
+  std::fill(stddev, stddev + n, 0.0);
   for (const auto& tree : trees_) {
-    const double v = tree.predict_value(row);
-    sum += v;
-    sumsq += v * v;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = tree.predict_value(x + i * n_features_);
+      mean[i] += v;
+      stddev[i] += v * v;
+    }
   }
-  const double n = static_cast<double>(trees_.size());
-  mean = sum / n;
-  const double var = std::max(0.0, sumsq / n - mean * mean);
-  stddev = std::sqrt(var);
+  const double t = static_cast<double>(trees_.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    mean[i] = mean[i] / t;
+    const double var = std::max(0.0, stddev[i] / t - mean[i] * mean[i]);
+    stddev[i] = std::sqrt(var);
+  }
 }
 
 }  // namespace agebo::ml

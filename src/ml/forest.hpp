@@ -41,6 +41,7 @@ class RandomForestClassifier final : public RowwisePredictor {
 
   std::size_t n_trees() const { return trees_.size(); }
   std::size_t n_classes() const { return n_classes_; }
+  const DecisionTree& tree(std::size_t i) const { return trees_.at(i); }
 
  private:
   ForestConfig cfg_;
@@ -72,9 +73,16 @@ class RandomForestRegressor {
   /// Mean and across-tree standard deviation for one row.
   void predict_with_uncertainty(const float* row, double& mean,
                                 double& stddev) const;
+  /// predict_with_uncertainty for each of n rows of x (row-major, fitted
+  /// width), into mean[i]/stddev[i]. The pool is scored tree-major, but
+  /// each row still sums its trees in tree order, so row i gets exactly the
+  /// one-row call's bits.
+  void predict_many(const float* x, std::size_t n, double* mean,
+                    double* stddev) const;
 
   std::size_t n_trees() const { return trees_.size(); }
   bool fitted() const { return !trees_.empty(); }
+  const DecisionTree& tree(std::size_t i) const { return trees_.at(i); }
 
  private:
   ForestConfig cfg_;

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <sstream>
 
 #include "bo/optimizer.hpp"
 #include "bo/param_space.hpp"
@@ -96,6 +99,43 @@ TEST(ParamSpace, KeyDistinguishesPoints) {
   const auto space = ParamSpace::paper_space();
   EXPECT_NE(space.key({64.0, 0.01, 1.0}), space.key({64.0, 0.01, 2.0}));
   EXPECT_EQ(space.key({64.0, 0.01, 1.0}), space.key({64.0, 0.01, 1.0}));
+}
+
+TEST(ParamSpace, KeyStringsPinned) {
+  // printf "%.12g" text: the strings every campaign's seen-set was keyed on.
+  ParamSpace space;
+  EXPECT_EQ(space.key({1e-05, 0.1, 1.0 / 3.0, 1024.0, -0.0}),
+            "1e-05|0.1|0.333333333333|1024|-0");
+  EXPECT_EQ(space.key({}), "");
+  EXPECT_EQ(space.key({64.0}), "64");
+}
+
+TEST(ParamSpace, KeyMatchesPrecision12StreamOnSampledPoints) {
+  const auto space = ParamSpace::paper_space();
+  const auto reference = [](const Point& p) {
+    std::ostringstream os;
+    os.precision(12);
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      if (i) os << '|';
+      os << p[i];
+    }
+    return os.str();
+  };
+  Rng rng(77);
+  for (int i = 0; i < 20000; ++i) {
+    const Point p = space.sample(rng);
+    ASSERT_EQ(space.key(p), reference(p)) << i;
+  }
+  Rng wide(78);
+  for (int i = 0; i < 20000; ++i) {
+    // Magnitudes from 1e-300 to 1e300, both signs, plus integers.
+    const double mag = std::ldexp(wide.uniform(0.5, 1.0),
+                                  static_cast<int>(wide.uniform_int(-990, 990)));
+    const Point p = {wide.bernoulli(0.5) ? mag : -mag,
+                     static_cast<double>(wide.uniform_int(-100000, 100000)),
+                     wide.uniform()};
+    ASSERT_EQ(space.key(p), reference(p)) << i;
+  }
 }
 
 /// A simple separable objective with a unique optimum for BO tests.
@@ -306,6 +346,54 @@ TEST(AskTell, SubsampledFitStillConverges) {
   double mean_obj = 0.0;
   for (const auto& p : batch) mean_obj += toy_objective(p);
   EXPECT_GT(mean_obj / 4.0, 0.75);
+}
+
+/// FNV-1a over the bits of every point a seeded ask/tell loop asks for.
+/// The objective is plain arithmetic (no libm) rounded to 1e-4, so tells
+/// tie; 20 rounds of 4 cross max_fit_points = 48 and exercise the
+/// subsampled fit.
+std::uint64_t ask_sequence_hash(const BoConfig& cfg) {
+  AskTellOptimizer opt(ParamSpace::paper_space(), cfg);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (int round = 0; round < 20; ++round) {
+    const auto batch = opt.ask(4);
+    std::vector<double> ys;
+    for (const auto& p : batch) {
+      for (const double v : p) {
+        unsigned char b[sizeof v];
+        std::memcpy(b, &v, sizeof v);
+        for (unsigned char c : b) {
+          h ^= c;
+          h *= 1099511628211ULL;
+        }
+      }
+      const double acc = 0.95 - 0.0001 * std::abs(p[0] - 256.0) -
+                         4.0 * std::abs(p[1] - 0.004) -
+                         0.02 * std::abs(p[2] - 2.0);
+      ys.push_back(std::round(acc * 1e4) / 1e4);
+    }
+    opt.tell(batch, ys);
+  }
+  return h;
+}
+
+TEST(AskTell, AskSequencePinnedUnderConstantLiar) {
+  BoConfig cfg;
+  cfg.seed = 5;
+  cfg.max_fit_points = 48;
+  const std::uint64_t h = ask_sequence_hash(cfg);
+  EXPECT_EQ(h, 0xbe5f1b1174ec8ce1ULL) << "0x" << std::hex << h;
+}
+
+TEST(AskTell, AskSequencePinnedUnderQUcb) {
+  BoConfig cfg;
+  cfg.seed = 6;
+  cfg.max_fit_points = 48;
+  cfg.kappa = 1.96;
+  cfg.batch = BatchMode::kQUcb;
+  cfg.refit = RefitMode::kIncremental;
+  const std::uint64_t h = ask_sequence_hash(cfg);
+  EXPECT_EQ(h, 0x69ef591c23263014ULL) << "0x" << std::hex << h;
 }
 
 }  // namespace
